@@ -2,10 +2,12 @@
 // ServeEngine on a warmed-store workload.
 //
 // The concurrency PR's contract is that the worker pool scales the
-// steady-state (store-hit) serving path: a store hit re-validates and
-// re-costs a stored plan — pure CPU work over read-mostly shared state
-// (shared_mutex store reads, per-context call_once, atomic stats) — so N
-// workers over the bounded queue should approach Nx a single worker. This
+// steady-state (store-hit) serving path: a store hit fingerprints the
+// program, reads the store and serves the context's validated-plan memo —
+// pure CPU work over read-mostly shared state (shared_mutex store reads,
+// per-context call_once, a memo pointer copied under a short lock, atomic
+// stats) — so N workers over the bounded queue should approach Nx a single
+// worker. This
 // bench warms ONE shared store, replays the same request stream serially
 // and through the engine interleaved best-of-N, checks the responses are
 // bit-identical in submission order (replay stability), and reports the
@@ -50,8 +52,9 @@ int run(int argc, char** argv) {
                "the serving engine's linear-scaling contract on store hits");
 
   // Same application-scale program as the tracing bench: a 256-kernel
-  // test-suite instance keeps the per-request work (validate + re-cost a
-  // real plan) representative of the paper's apps, not an empty loop.
+  // test-suite instance keeps the per-request work (fingerprint the program,
+  // read the store, copy a real plan) representative of the paper's apps,
+  // not an empty loop.
   TestSuiteConfig suite;
   suite.kernels = 256;
   suite.arrays = 512;

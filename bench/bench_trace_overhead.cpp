@@ -51,10 +51,11 @@ int run(int argc, char** argv) {
   print_header("Request-tracing overhead on the serving path",
                "the observability layer's <3% tracing-overhead budget");
 
-  // A 256-kernel test-suite program: a store hit re-validates and re-costs a
-  // real plan, so the per-request floor the overhead is measured against is
-  // the serving steady state on an application-scale program (the paper's
-  // apps run 418-654 kernels), not an empty loop on a toy one.
+  // A 256-kernel test-suite program: a store hit fingerprints the program
+  // and serves its validated plan from the context's memo, so the
+  // per-request floor the overhead is measured against is the serving
+  // steady state on an application-scale program (the paper's apps run
+  // 418-654 kernels), not an empty loop on a toy one.
   TestSuiteConfig suite;
   suite.kernels = 256;
   suite.arrays = 512;

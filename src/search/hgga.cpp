@@ -132,7 +132,7 @@ std::string SearchResult::trace_csv() const {
 }
 
 int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
-                 const Telemetry* telemetry) {
+                 const Telemetry* telemetry, SearchControl* control) {
   const LegalityChecker& checker = objective.checker();
   SpanTracer::Scope polish_span = scoped_span(telemetry, "local_polish");
   const bool provenance = telemetry != nullptr && telemetry->wants_decisions();
@@ -148,9 +148,15 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
   int edits = 0;
   double cost = delta_costing ? objective.plan_cost_with_memo(plan, {}, &memo)
                               : objective.plan_cost(plan);
+  // Latches once the control stops; every candidate loop below polls it.
+  bool halted = false;
+  const auto halt = [&] {
+    halted = halted || (control != nullptr && control->should_stop());
+    return halted;
+  };
 
   bool improved = true;
-  while (improved) {
+  while (improved && !halted) {
     improved = false;
     FusionPlan best_plan = plan;
     double best_cost = cost;
@@ -177,8 +183,8 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
     };
 
     // merges
-    for (int a = 0; a < plan.num_groups(); ++a) {
-      for (int b = a + 1; b < plan.num_groups(); ++b) {
+    for (int a = 0; a < plan.num_groups() && !halted; ++a) {
+      for (int b = a + 1; b < plan.num_groups() && !halt(); ++b) {
         std::vector<KernelId> merged(plan.group(a).begin(), plan.group(a).end());
         merged.insert(merged.end(), plan.group(b).begin(), plan.group(b).end());
         std::sort(merged.begin(), merged.end());
@@ -191,8 +197,9 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
       }
     }
     // moves (kernel to a sharing neighbour's group)
-    for (KernelId k = 0; k < plan.num_kernels(); ++k) {
+    for (KernelId k = 0; k < plan.num_kernels() && !halted; ++k) {
       for (KernelId n : checker.sharing().neighbours(k)) {
+        if (halt()) break;
         const int from = plan.group_of(k);
         const int to = plan.group_of(n);
         if (from == to) continue;
@@ -211,7 +218,7 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
       }
     }
     // splits
-    for (int g = 0; g < plan.num_groups(); ++g) {
+    for (int g = 0; g < plan.num_groups() && !halt(); ++g) {
       if (plan.group(g).size() < 2) continue;
       FusionPlan candidate = plan;
       candidate.split_group(g);
@@ -834,13 +841,14 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
 
   result.best = best.plan;
   const bool stopped_early = control != nullptr && control->stopped();
-  // Polish is skipped on an early stop: it can take arbitrarily long and the
+  // Polish is skipped on an early stop, and otherwise runs under the same
+  // control: unbounded it can take minutes on large programs, and the
   // contract is to return the legal best-so-far near the deadline.
   if (config_.local_polish && !stopped_early) {
     const double cost_before = best.cost;
     double polished_cost = best.cost;
-    const int edits =
-        local_polish(objective_, result.best, &polished_cost, telemetry);
+    const int edits = local_polish(objective_, result.best, &polished_cost,
+                                   telemetry, control);
     if (edits > 0) {
       best.cost = polished_cost;
       result.time_to_best_s = watch.elapsed_s();

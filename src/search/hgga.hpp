@@ -123,8 +123,13 @@ struct SearchResult {
 /// local optimum is reached. Returns the number of edits applied.
 /// `telemetry` (optional) records a "local_polish" span and one provenance
 /// decision per applied edit — a null pointer costs one branch per edit.
+/// `control` (optional) is polled between candidates: once it stops, the
+/// pass in progress applies the best edit it has found and the polish
+/// returns that legal best-so-far. A budget that never trips leaves the
+/// result bit-identical to an unbounded polish.
 int local_polish(const Objective& objective, FusionPlan& plan,
-                 double* cost = nullptr, const Telemetry* telemetry = nullptr);
+                 double* cost = nullptr, const Telemetry* telemetry = nullptr,
+                 SearchControl* control = nullptr);
 
 /// Periodic checkpointing of an HGGA run (see search/checkpoint.hpp for the
 /// on-disk format). With `resume` set, the run restarts from the state in

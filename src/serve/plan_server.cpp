@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -12,7 +13,6 @@
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
-#include "util/string_util.hpp"
 
 namespace kf {
 
@@ -88,9 +88,23 @@ std::vector<ServeLog::Entry> ServeLog::entries() const {
 /// The per-(program, device) evaluation stack. Declaration order is
 /// construction order: the objective borrows everything above it. Immutable
 /// after construction apart from the Objective's internally-synchronised
-/// state (atomic counters, lock-striped group-cost cache), so concurrent
-/// requests share one Context freely.
+/// state (atomic counters, lock-striped group-cost cache) and the validated
+/// store-hit memo (its own mutex), so concurrent requests share one Context
+/// freely.
 struct PlanServer::Context {
+  /// A stored plan this context has validated: its exact stored text, the
+  /// parsed plan and its cost. Legality and cost are pure functions of
+  /// (text, this context), so a hit whose stored text equals the memo's is
+  /// served from it — validated once, trusted afterwards (the MIOpen
+  /// FusionPlanDescriptor idiom: isValid() at build, then execute many
+  /// times). Keyed on the text, not the store revision, so compaction and
+  /// recovery cannot make a stale memo look current.
+  struct Validated {
+    std::string plan_text;
+    FusionPlan plan;
+    double cost_s = 0.0;
+  };
+
   ExpansionResult expansion;
   DeviceSpec device;
   TimingSimulator simulator;
@@ -98,6 +112,10 @@ struct PlanServer::Context {
   ProposedModel model;
   Objective objective;
   PlanKey key;
+
+  /// Guards only the copy of `validated` — never held across validation.
+  std::mutex validated_mu;
+  std::shared_ptr<const Validated> validated;
 
   Context(const Program& program, const DeviceSpec& dev,
           const PlanServerConfig& config)
@@ -185,6 +203,39 @@ class InflightMark {
   int slot_ = -1;
 };
 
+/// Names finish() records under on every request, built once: concatenating
+/// them per request cost heap allocations on the store-hit path.
+struct FinishNames {
+  static constexpr int kNumRungs =
+      static_cast<int>(ServeRung::TrivialFloor) + 1;
+  /// "serve.rung_total.<rung>", indexed by ServeRung.
+  std::string rung_total[kNumRungs];
+  /// "stage_<name>_s", indexed by RequestContext::Stage.
+  std::string stage[RequestContext::kNumStages];
+
+  static const FinishNames& get() {
+    static const FinishNames names = [] {
+      FinishNames n;
+      for (int r = 0; r < kNumRungs; ++r)
+        n.rung_total[r] = std::string("serve.rung_total.") +
+                          to_string(static_cast<ServeRung>(r));
+      for (int s = 0; s < RequestContext::kNumStages; ++s)
+        n.stage[s] =
+            std::string("stage_") + RequestContext::stage_name(s) + "_s";
+      return n;
+    }();
+    return names;
+  }
+};
+
+/// Writes `v` as 16 lowercase hex digits (the wide event's "%016llx",
+/// without varargs formatting).
+std::string_view hex16(std::uint64_t v, char (&out)[16]) noexcept {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i, v >>= 4) out[i] = kHex[v & 0xF];
+  return {out, 16};
+}
+
 }  // namespace
 
 PlanServer::PlanServer(PlanStore& store, PlanServerConfig config)
@@ -254,6 +305,50 @@ bool PlanServer::plan_usable(const Context& ctx, const std::string& plan_text,
   }
   if (!ctx.checker.plan_is_legal(plan)) return false;
   *out = std::move(plan);
+  return true;
+}
+
+bool PlanServer::probe_store(Context& ctx, ServeResult& result) {
+  std::optional<StoredPlan> stored = store_.get(ctx.key);
+  if (!stored) return false;
+  std::shared_ptr<const Context::Validated> memo;
+  {
+    std::lock_guard<std::mutex> lock(ctx.validated_mu);
+    memo = ctx.validated;
+  }
+  if (memo == nullptr || memo->plan_text != stored->plan_text) {
+    SpanTracer::Scope span =
+        scoped_span(config_.telemetry, "serve.validate", "serve");
+    FusionPlan plan;
+    if (!plan_usable(ctx, stored->plan_text, &plan)) {
+      span.end();
+      // Stored but no longer legal under this process's checker: evict, and
+      // let the caller fall through the ladder as a miss.
+      {
+        std::lock_guard<std::mutex> slock(stats_mu_);
+        ++stats_.invalid_stored;
+      }
+      try {
+        store_.erase(ctx.key);
+      } catch (const StoreError&) {
+        // eviction is advisory; a wedged store must not fail the request
+      }
+      const Telemetry* t = config_.telemetry;
+      if (t != nullptr && t->metrics != nullptr)
+        t->metrics->count("serve.invalid_stored_total");
+      return false;
+    }
+    auto fresh = std::make_shared<Context::Validated>();
+    fresh->cost_s = ctx.objective.plan_cost(plan);
+    fresh->plan = std::move(plan);
+    fresh->plan_text = std::move(stored->plan_text);
+    memo = std::move(fresh);
+    std::lock_guard<std::mutex> lock(ctx.validated_mu);
+    ctx.validated = memo;
+  }
+  result.rung = ServeRung::StoreHit;
+  result.plan = memo->plan;
+  result.cost_s = memo->cost_s;
   return true;
 }
 
@@ -365,7 +460,7 @@ void PlanServer::finish(ServeResult& result, const Context* ctx,
   if (t != nullptr && t->metrics != nullptr) {
     MetricsRegistry* m = t->metrics;
     m->count("serve.requests_total");
-    m->count(std::string("serve.rung_total.") + to_string(result.rung));
+    m->count(FinishNames::get().rung_total[static_cast<int>(result.rung)]);
     if (result.degraded) m->count("serve.degraded_total");
     if (result.admission == AdmissionOutcome::Queued)
       m->count("serve.queued_total");
@@ -425,11 +520,10 @@ void PlanServer::finish(ServeResult& result, const Context* ctx,
     // state, per-stage deadline budget, retries and final cost on one
     // line. (The line's "trace" field is stamped by TraceLog itself.)
     t->trace->emit("serve_request", [&](TraceEvent& e) {
+      char program_hex[16], device_hex[16];
       e.num("seq", entry.seq)
-          .str("program_fp", strprintf("%016llx",
-               static_cast<unsigned long long>(result.key.program_fp)))
-          .str("device_fp", strprintf("%016llx",
-               static_cast<unsigned long long>(result.key.device_fp)))
+          .str("program_fp", hex16(result.key.program_fp, program_hex))
+          .str("device_fp", hex16(result.key.device_fp, device_hex))
           .num("num_kernels", result.num_kernels)
           .str("rung", to_string(result.rung))
           .str("admission", to_string(result.admission))
@@ -447,8 +541,7 @@ void PlanServer::finish(ServeResult& result, const Context* ctx,
                                        : 0.0);
       for (int s = 0; s < RequestContext::kNumStages; ++s) {
         if (rc.stage_s[s] > 0.0)
-          e.num(std::string("stage_") + RequestContext::stage_name(s) + "_s",
-                rc.stage_s[s]);
+          e.num(FinishNames::get().stage[s], rc.stage_s[s]);
       }
       e.num("cost_s", result.cost_s)
           .num("baseline_cost_s", result.baseline_cost_s)
@@ -485,8 +578,17 @@ void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
       }
       if (!ctx.checker.plan_is_legal(plan) && !repair_plan(ctx, plan))
         continue;
+      // The polish gets the same slice of the remaining deadline as a search
+      // attempt and returns its legal best-so-far when the slice runs out.
+      // (Limits reads a deadline <= 0 as none, so an exhausted one is 1 ns.)
+      const double remaining = result.deadline_s - (config_.clock() - start_s);
+      SearchControl control(
+          ctx.objective,
+          {.deadline_s =
+               std::max(1e-9, remaining * config_.search_budget_fraction)});
+      control.set_telemetry(config_.telemetry);
       double cost = 0.0;
-      local_polish(ctx.objective, plan, &cost, config_.telemetry);
+      local_polish(ctx.objective, plan, &cost, config_.telemetry, &control);
       result.rung = ServeRung::PolishedStored;
       result.plan = std::move(plan);
       result.cost_s = cost;
@@ -713,34 +815,13 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
     mark = config_.clock();
     SpanTracer::Scope span =
         scoped_span(config_.telemetry, "serve.store_get", "serve");
-    if (std::optional<StoredPlan> stored = store_.get(ctx.key)) {
-      FusionPlan plan;
-      if (plan_usable(ctx, stored->plan_text, &plan)) {
-        result.rung = ServeRung::StoreHit;
-        result.plan = std::move(plan);
-        result.cost_s = ctx.objective.plan_cost(result.plan);
-        span.end();
-        rc.charge(RequestContext::kStoreGet, config_.clock() - mark);
-        finish(result, &ctx, start, rc);
-        return result;
-      }
-      // Stored but no longer legal under this process's checker: evict, and
-      // fall through the ladder as a miss.
-      {
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.invalid_stored;
-      }
-      try {
-        store_.erase(ctx.key);
-      } catch (const StoreError&) {
-        // eviction is advisory; a wedged store must not fail the request
-      }
-      const Telemetry* t = config_.telemetry;
-      if (t != nullptr && t->metrics != nullptr)
-        t->metrics->count("serve.invalid_stored_total");
-    }
+    const bool hit = probe_store(ctx, result);
     span.end();
     rc.charge(RequestContext::kStoreGet, config_.clock() - mark);
+    if (hit) {
+      finish(result, &ctx, start, rc);
+      return result;
+    }
     inflight_mark.update(rc);
   }
 
@@ -807,16 +888,10 @@ ServeResult PlanServer::serve(const Program& program, const DeviceSpec& device,
   // Leader. Between our store miss and winning the flight, a previous
   // leader may have published and written back — re-probe once so that
   // race serves a StoreHit instead of re-searching.
-  if (std::optional<StoredPlan> stored = store_.get(ctx.key)) {
-    FusionPlan plan;
-    if (plan_usable(ctx, stored->plan_text, &plan)) {
-      result.rung = ServeRung::StoreHit;
-      result.plan = std::move(plan);
-      result.cost_s = ctx.objective.plan_cost(result.plan);
-      publish_flight(flight, flight_key, result);
-      finish(result, &ctx, start, rc);
-      return result;
-    }
+  if (probe_store(ctx, result)) {
+    publish_flight(flight, flight_key, result);
+    finish(result, &ctx, start, rc);
+    return result;
   }
   if (config_.test_coalesce_hold) config_.test_coalesce_hold();
 

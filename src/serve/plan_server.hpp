@@ -11,14 +11,17 @@
 //      identity plan — so overload sheds work, not correctness.
 //   2. Degradation ladder. An admitted request walks down until a rung
 //      succeeds:
-//        StoreHit        exact (program, device) fingerprint hit, re-validated
-//                        against this process's legality checker — a stored
-//                        plan that no longer checks out is evicted, never
-//                        served;
+//        StoreHit        exact (program, device) fingerprint hit, validated
+//                        against this process's legality checker whenever
+//                        its text differs from the last one the context
+//                        accepted, and served from that memo otherwise — a
+//                        stored plan that does not check out is evicted,
+//                        never served;
 //        PolishedStored  nearest stored plan for the same program (any
 //                        device), repaired to legality and improved by the
-//                        HGGA's steepest-descent local polish — the
-//                        cross-device warm start;
+//                        HGGA's steepest-descent local polish within the
+//                        request's remaining deadline — the cross-device
+//                        warm start;
 //        FullSearch      SearchDriver under the request's remaining
 //                        deadline/eval budget, retried with exponential
 //                        backoff when a fault storm aborts an attempt
@@ -54,18 +57,20 @@
 // Concurrency (PR "worker-pool serving engine"): serve() is fully
 // concurrent — many workers (serve/serve_engine.hpp) run requests at once.
 // The shared state is fine-grained: per-(program, device) evaluation
-// contexts are built once under a std::call_once slot and then immutable;
-// Stats sit behind their own mutex; the token bucket (not itself
-// thread-safe) behind another; the sequence counter is atomic; the store
-// and every telemetry sink are thread-safe on their own. Concurrent misses
-// on the same (program fingerprint, device) key *coalesce*: the first
-// becomes the leader and runs the miss ladder, the rest park on a
-// condition variable and receive the leader's plan when it publishes
-// (result.coalesced = true) — one search fans out to all waiters, which is
-// the microseconds-repeat-program story under load. Requests arriving
-// through the engine additionally carry their enqueue time (queue wait is
-// charged against the deadline and the stage ledger) and a worker id, and
-// a full engine queue is answered with the rejected_overload floor.
+// contexts are built once under a std::call_once slot and then immutable
+// apart from their validated-hit memo, a pointer copied or swapped under a
+// mutex held for nothing else; Stats sit behind their own mutex; the token
+// bucket (not itself thread-safe) behind another; the sequence counter is
+// atomic; the store and every telemetry sink are thread-safe on their own.
+// Concurrent misses on the same (program fingerprint, device) key
+// *coalesce*: the first becomes the leader and runs the miss ladder, the
+// rest park on a condition variable and receive the leader's plan when it
+// publishes (result.coalesced = true) — one search fans out to all
+// waiters, which is the microseconds-repeat-program story under load.
+// Requests arriving through the engine additionally carry their enqueue
+// time (queue wait is charged against the deadline and the stage ledger)
+// and a worker id, and a full engine queue is answered with the
+// rejected_overload floor.
 //
 // Time and sleep are injectable (monotone seconds), so tests drive the
 // bucket, deadlines and backoff with a fake clock.
@@ -305,6 +310,12 @@ class PlanServer {
   Context& context(const Program& program, const DeviceSpec& device);
   bool plan_usable(const Context& ctx, const std::string& plan_text,
                    FusionPlan* out) const;
+  /// One exact-key store probe: get -> validate -> cost. A stored text this
+  /// context already validated is served from its memo; any other text
+  /// runs plan_usable + plan_cost (in a "serve.validate" span) and, once
+  /// accepted, becomes the memo. A stored plan that fails validation is
+  /// evicted, never served. On a hit sets result.{rung, plan, cost_s}.
+  bool probe_store(Context& ctx, ServeResult& result);
   bool repair_plan(const Context& ctx, FusionPlan& plan) const;
   /// Rungs 2..4 (polish / full search / floor) for a confirmed store miss;
   /// sets result.{rung, plan, cost_s, retries}. Write-back and waiter

@@ -12,11 +12,12 @@
 // end-of-stream (pop() -> nullopt). That ordering is what makes engine
 // shutdown graceful — every request that made it into the queue is served.
 //
-// Plain mutex + two condition variables, deliberately: the serving hot
-// path behind this queue re-validates and re-costs a multi-hundred-kernel
-// plan per request, so queue transfer cost is noise and the simple,
-// obviously-correct structure wins (it is also what ThreadSanitizer can
-// reason about precisely — this file is on the tsan-serve CI wall).
+// Plain mutex + two condition variables, deliberately: even a memoised
+// store hit behind this queue fingerprints a multi-hundred-kernel program
+// and copies its plan (tens of microseconds), so queue transfer cost is
+// noise and the simple, obviously-correct structure wins (it is also what
+// ThreadSanitizer can reason about precisely — this file is on the
+// tsan-serve CI wall).
 #pragma once
 
 #include <condition_variable>

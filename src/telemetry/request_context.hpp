@@ -92,7 +92,7 @@ struct RequestContext {
   enum Stage {
     kAdmission = 0,  ///< admission decision (token bucket)
     kQueueWait,      ///< time parked in the virtual queue
-    kStoreGet,       ///< rung 1 store lookup + re-validation
+    kStoreGet,       ///< rung 1 store lookup (+ first-time validation)
     kPolish,         ///< rung 2 repair + local polish
     kSearch,         ///< rung 3 full search attempts
     kBackoff,        ///< inter-attempt fault-storm backoff

@@ -387,6 +387,31 @@ TEST(SearchDriver, DeadlineStopsLongHggaNearTheBudget) {
   EXPECT_GT(result.generations, 0);
 }
 
+TEST(SearchDriver, DeadlineBoundsTheFinalPolishOnALargeProgram) {
+  // One short generation, then the final steepest-descent polish, which on
+  // a 100-kernel program runs for seconds unbounded: it must stop at the
+  // deadline with a legal best-so-far instead.
+  TestSuiteConfig suite;
+  suite.kernels = 100;
+  suite.arrays = 200;
+  suite.seed = 100;
+  Rig rig(make_testsuite_program(suite));
+
+  DriverConfig cfg;
+  cfg.limits.deadline_s = 0.3;
+  cfg.hgga.population = 4;
+  cfg.hgga.elites = 1;
+  cfg.hgga.max_generations = 1;
+  cfg.hgga.stall_generations = 1;
+  cfg.hgga.seed = 5;
+  const SearchResult result = SearchDriver(rig.objective, cfg).run();
+  EXPECT_EQ(result.fault_report.stop_reason, StopReason::Deadline)
+      << "the polish converged inside the deadline; it was never bounded";
+  EXPECT_TRUE(rig.checker.plan_is_legal(result.best));
+  EXPECT_LE(result.best_cost_s, result.baseline_cost_s);
+  EXPECT_LT(result.runtime_s, 1.5);
+}
+
 TEST(SearchDriver, EvaluationBudgetStops) {
   Rig rig(scale_les_rk18());
   DriverConfig cfg;

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -23,6 +24,7 @@
 
 #include "apps/motivating_example.hpp"
 #include "apps/scale_les.hpp"
+#include "apps/testsuite.hpp"
 #include "fusion/legality.hpp"
 #include "gpu/device_spec.hpp"
 #include "graph/array_expansion.hpp"
@@ -367,7 +369,59 @@ TEST(PlanServer, InvalidStoredPlanIsEvictedNeverServed) {
   const auto now_stored = store.get(poison.key);
   ASSERT_TRUE(now_stored.has_value());
   EXPECT_EQ(now_stored->num_kernels, program.num_kernels());
+  const ServeResult hit = server.serve(program, DeviceSpec::k20x());
+  EXPECT_EQ(hit.rung, ServeRung::StoreHit);
+
+  // The hit above left its plan in the context's validated memo. Poison put
+  // over it has different text, so it is validated, evicted and never
+  // served — the memo must not vouch for a text it did not validate.
+  store.put(poison);
+  const ServeResult after = server.serve(program, DeviceSpec::k20x());
+  EXPECT_EQ(after.rung, ServeRung::FullSearch)
+      << "the poisoned hit fell through";
+  EXPECT_EQ(server.stats().invalid_stored, 2) << "one more eviction";
   EXPECT_EQ(server.serve(program, DeviceSpec::k20x()).rung, ServeRung::StoreHit);
+}
+
+TEST(PlanServer, RePutOfADifferentLegalPlanIsServedOnTheNextHit) {
+  const std::string dir = fresh_dir("reput");
+  PlanStore store(store_config(dir));
+  FakeTime time;
+  PlanServer server(store, server_config(time));
+  const Program program = motivating_example();
+  const DeviceSpec device = DeviceSpec::k20x();
+
+  const ServeResult miss = server.serve(program, device);
+  ASSERT_EQ(miss.rung, ServeRung::FullSearch);
+  const ServeResult searched = server.serve(program, device);  // memoised
+  ASSERT_EQ(searched.rung, ServeRung::StoreHit);
+  ASSERT_NE(searched.plan.num_groups(), searched.num_kernels)
+      << "the searched plan must differ from the identity re-put below";
+
+  const auto put_plan = [&](const FusionPlan& plan, double cost_s) {
+    StoredPlan stored;
+    stored.key = searched.key;
+    stored.num_kernels = searched.num_kernels;
+    stored.plan_text = plan.to_string();
+    stored.best_cost_s = cost_s;
+    stored.baseline_cost_s = searched.baseline_cost_s;
+    store.put(std::move(stored));
+  };
+
+  // Another legal plan under the same key replaces the memo on the next hit.
+  put_plan(FusionPlan(searched.num_kernels), searched.baseline_cost_s);
+  const ServeResult identity = server.serve(program, device);
+  EXPECT_EQ(identity.rung, ServeRung::StoreHit);
+  EXPECT_EQ(identity.plan.num_groups(), identity.num_kernels);
+  EXPECT_DOUBLE_EQ(identity.cost_s, identity.baseline_cost_s);
+
+  // And the original text comes back with its original, bit-identical cost.
+  put_plan(searched.plan, searched.cost_s);
+  const ServeResult again = server.serve(program, device);
+  EXPECT_EQ(again.rung, ServeRung::StoreHit);
+  EXPECT_EQ(again.plan.to_string(), searched.plan.to_string());
+  EXPECT_EQ(again.cost_s, searched.cost_s);
+  EXPECT_EQ(server.stats().invalid_stored, 0);
 }
 
 TEST(PlanServer, ServeLogIsABoundedRing) {
@@ -441,6 +495,54 @@ TEST(PlanServer, MixedFaultyStreamAlwaysReturnsLegalPlansOnTime) {
                 stats.trivial,
             served);
   EXPECT_GT(stats.store_hits, 0) << "repeat requests must hit";
+}
+
+// The polished_stored rung runs under the request's deadline: on a
+// 100-kernel program the steepest-descent polish of a lightly fused stored
+// plan takes seconds unbounded, and a 0.25 s request must still be answered
+// on time with the polish's legal best-so-far. Real clock: the polish polls
+// a wall-clock SearchControl.
+TEST(PlanServer, PolishOfALargeStoredPlanStopsAtTheRequestDeadline) {
+  const std::string dir = fresh_dir("polish_deadline");
+  PlanStore store(store_config(dir));
+  MetricsRegistry metrics;
+  Telemetry telemetry{.metrics = &metrics};
+  PlanServerConfig cfg;
+  cfg.telemetry = &telemetry;
+  PlanServer server(store, cfg);
+  TestSuiteConfig suite;
+  suite.kernels = 100;
+  suite.arrays = 200;
+  suite.seed = 100;
+  const Program program = make_testsuite_program(suite);
+
+  // Build both contexts up front (instant floor answers) so the requests
+  // below spend their budgets on the ladder, then store a K20X plan from a
+  // short search: little fused, so plenty is left to polish.
+  ServeRequest instant;
+  instant.deadline_s = 0.001;
+  for (const DeviceSpec& device : {DeviceSpec::k40(), DeviceSpec::k20x()})
+    ASSERT_EQ(server.serve(program, device, instant).rung,
+              ServeRung::TrivialFloor);
+  ServeRequest quick;
+  quick.deadline_s = 0.05;
+  ASSERT_EQ(server.serve(program, DeviceSpec::k20x(), quick).rung,
+            ServeRung::FullSearch);
+
+  const MetricLabels deadline_stop{{"reason", "deadline"}};
+  const long stops_before =
+      metrics.counter_value("search.budget_stops", deadline_stop);
+  ServeRequest request;
+  request.deadline_s = 0.25;
+  const ServeResult r = server.serve(program, DeviceSpec::k40(), request);
+  EXPECT_EQ(r.rung, ServeRung::PolishedStored);
+  EXPECT_TRUE(r.deadline_met) << "latency " << r.latency_s << " s";
+  EXPECT_LE(r.stage_s[RequestContext::kPolish], request.deadline_s);
+  EXPECT_TRUE(Validator(program, DeviceSpec::k40()).legal(r.plan));
+  EXPECT_LE(r.cost_s, r.baseline_cost_s);
+  EXPECT_EQ(metrics.counter_value("search.budget_stops", deadline_stop),
+            stops_before + 1)
+      << "the polish must have been cut by its deadline, not converged";
 }
 
 // ------------------------------------------- request-scoped observability
@@ -635,6 +737,42 @@ TEST(ServeObservability, ServingIsBitIdenticalWithTelemetryAttached) {
   // ...and the sinks actually observed the traced stream.
   EXPECT_GT(sinks.spans.recorded(), 0);
   EXPECT_GT(sinks.slo.recorded(), 0);
+}
+
+/// Closed spans named `name` in the tracer's flame table.
+long span_count(const SpanTracer& spans, const std::string& name) {
+  long count = 0;
+  for (const SpanTracer::FlameRow& row : spans.flame_table())
+    if (row.name == name) count += row.count;
+  return count;
+}
+
+TEST(ServeObservability, RepeatHitsOnOneStoredPlanValidateItOnce) {
+  const std::string dir = fresh_dir("validate_once");
+  PlanStore store(store_config(dir));
+  ServeSinks sinks;
+  FakeTime time;
+  PlanServerConfig cfg = server_config(time);
+  cfg.telemetry = &sinks.telemetry;
+  PlanServer server(store, cfg);
+  const Program program = motivating_example();
+  const DeviceSpec device = DeviceSpec::k20x();
+
+  ASSERT_EQ(server.serve(program, device).rung, ServeRung::FullSearch);
+  EXPECT_EQ(span_count(sinks.spans, "serve.validate"), 0)
+      << "a miss finds nothing stored to validate";
+  const int hits = 12;
+  std::vector<ServeResult> results;
+  for (int i = 0; i < hits; ++i)
+    results.push_back(server.serve(program, device));
+  for (const ServeResult& r : results) {
+    EXPECT_EQ(r.rung, ServeRung::StoreHit);
+    EXPECT_EQ(r.plan.to_string(), results[0].plan.to_string());
+    EXPECT_EQ(r.cost_s, results[0].cost_s) << "memoised cost is bit-identical";
+  }
+  EXPECT_EQ(span_count(sinks.spans, "serve.store_get"), hits + 1);
+  EXPECT_EQ(span_count(sinks.spans, "serve.validate"), 1)
+      << "the first hit validates; the rest are served from the memo";
 }
 
 TEST(ServeObservability, TraceIdsAreReplayStableAndStageLedgerIsBounded) {
@@ -969,6 +1107,65 @@ TEST(ServeEngine, ConcurrentMixedKeyHammerStaysLegalAndDeterministic) {
   EXPECT_EQ(s.requests, requests + 2);
   EXPECT_EQ(s.store_hits, requests + 2 - 2);
   EXPECT_EQ(sinks.metrics.counter_value("serve.requests_total"), requests + 2);
+}
+
+// TSan fodder for the validated-hit memo: a pool hammers store hits on one
+// key while another thread keeps re-putting two different legal plans under
+// it, so workers race to validate, replace and read the context's memo.
+// Every answer must be a hit carrying one of the two plans with exactly
+// that plan's cost — never a mix of one plan and the other's cost.
+TEST(ServeEngine, HitsStayCorrectWhileAWriterAlternatesStoredPlans) {
+  const std::string dir = fresh_dir("engine_reput");
+  PlanStore store(store_config(dir));
+  PlanServer server(store, PlanServerConfig{});
+  const Program program = motivating_example();
+  const DeviceSpec device = DeviceSpec::k20x();
+  ASSERT_EQ(server.serve(program, device).rung, ServeRung::FullSearch);
+  const ServeResult searched = server.serve(program, device);
+  ASSERT_EQ(searched.rung, ServeRung::StoreHit);
+  const FusionPlan identity(searched.num_kernels);
+  ASSERT_NE(searched.plan.to_string(), identity.to_string());
+  const std::map<std::string, double> legal = {
+      {searched.plan.to_string(), searched.cost_s},
+      {identity.to_string(), searched.baseline_cost_s}};
+
+  std::atomic<bool> stop{false};
+  std::atomic<long> puts{0};
+  std::thread writer([&] {
+    for (long i = 0; !stop.load(); ++i) {
+      StoredPlan stored;
+      stored.key = searched.key;
+      stored.num_kernels = searched.num_kernels;
+      stored.plan_text = (i % 2 == 0 ? identity : searched.plan).to_string();
+      stored.best_cost_s = legal.at(stored.plan_text);
+      stored.baseline_cost_s = searched.baseline_cost_s;
+      store.put(std::move(stored));
+      puts.fetch_add(1);
+    }
+  });
+
+  const int requests = 200;
+  ServeEngine engine(server, ServeEngineConfig{.workers = 8,
+                                               .queue_capacity = 32,
+                                               .shed_on_full = false});
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < requests; ++i)
+    futures.push_back(engine.submit(program, device));
+  std::set<std::string> seen;
+  for (auto& f : futures) {
+    const ServeResult r = f.get();
+    EXPECT_EQ(r.rung, ServeRung::StoreHit);
+    const auto it = legal.find(r.plan.to_string());
+    ASSERT_NE(it, legal.end()) << "served a plan that was never stored";
+    EXPECT_DOUBLE_EQ(r.cost_s, it->second) << "cost of the other plan";
+    seen.insert(it->first);
+  }
+  engine.drain();
+  stop = true;
+  writer.join();
+  EXPECT_GT(puts.load(), 0);
+  EXPECT_EQ(server.stats().invalid_stored, 0);
+  EXPECT_EQ(server.stats().store_hits, requests + 1);
 }
 
 }  // namespace
