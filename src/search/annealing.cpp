@@ -11,8 +11,10 @@
 namespace kf {
 namespace {
 
-/// One random legality-preserving move; returns false when no move applied.
-bool random_move(const LegalityChecker& checker, FusionPlan& plan, Rng& rng) {
+/// One random legality-preserving move of `plan` into `out`; returns false
+/// when no move applied.
+bool random_move(const LegalityChecker& checker, const FusionPlan& plan, Rng& rng,
+                 FusionPlan& out, std::vector<KernelId>& group) {
   const int kind = static_cast<int>(rng.next_below(3));
   if (kind == 0 && plan.num_groups() >= 2) {
     // merge two sharing-connected groups
@@ -21,17 +23,7 @@ bool random_move(const LegalityChecker& checker, FusionPlan& plan, Rng& rng) {
     const auto& neighbours = checker.sharing().neighbours(k);
     if (neighbours.empty()) return false;
     const KernelId other = neighbours[rng.next_below(neighbours.size())];
-    const int ga = plan.group_of(k);
-    const int gb = plan.group_of(other);
-    if (ga == gb) return false;
-    std::vector<KernelId> merged(plan.group(ga).begin(), plan.group(ga).end());
-    merged.insert(merged.end(), plan.group(gb).begin(), plan.group(gb).end());
-    if (!checker.group_is_legal(merged)) return false;
-    FusionPlan trial = plan;
-    trial.merge_groups(ga, gb);
-    if (!checker.plan_is_schedulable(trial)) return false;
-    plan = std::move(trial);
-    return true;
+    return try_merge(checker, plan, plan.group_of(k), plan.group_of(other), out, group);
   }
   if (kind == 1) {
     // split a fused group
@@ -40,7 +32,8 @@ bool random_move(const LegalityChecker& checker, FusionPlan& plan, Rng& rng) {
       if (plan.group(g).size() >= 2) fused.push_back(g);
     }
     if (fused.empty()) return false;
-    plan.split_group(fused[rng.next_below(fused.size())]);
+    out = plan;
+    out.split_group(fused[rng.next_below(fused.size())]);
     return true;
   }
   // move one kernel next to a sharing neighbour
@@ -49,18 +42,7 @@ bool random_move(const LegalityChecker& checker, FusionPlan& plan, Rng& rng) {
   const auto& neighbours = checker.sharing().neighbours(k);
   if (neighbours.empty()) return false;
   const KernelId other = neighbours[rng.next_below(neighbours.size())];
-  const int from = plan.group_of(k);
-  const int to = plan.group_of(other);
-  if (from == to) return false;
-  std::vector<KernelId> target(plan.group(to).begin(), plan.group(to).end());
-  target.push_back(k);
-  std::sort(target.begin(), target.end());
-  if (!checker.group_is_legal(target)) return false;
-  FusionPlan trial = plan;
-  trial.move_kernel(k, to);
-  if (repair_plan(checker, trial) > 0 && !checker.plan_is_legal(trial)) return false;
-  plan = std::move(trial);
-  return true;
+  return try_move(checker, plan, k, plan.group_of(other), out, group);
 }
 
 }  // namespace
@@ -81,12 +63,9 @@ SearchResult annealing_search(const Objective& objective, AnnealingConfig config
   // neighbor candidate only pays for the groups its move actually changed;
   // the candidate's cost is still summed in its own group order, so the
   // value is bit-identical to a full recost (see DESIGN.md item 18).
-  const bool delta_costing = objective.delta_costing();
   Objective::GroupCostMemo memo;
   Objective::GroupCostMemo memo_scratch;
-  double current_cost = delta_costing
-                            ? objective.plan_cost_with_memo(current, {}, &memo)
-                            : objective.plan_cost(current);
+  double current_cost = objective.plan_cost_with_memo(current, {}, &memo);
   result.best = current;
   result.best_cost_s = current_cost;
   result.time_to_best_s = watch.elapsed_s();
@@ -94,22 +73,20 @@ SearchResult annealing_search(const Objective& objective, AnnealingConfig config
 
   double temperature = result.baseline_cost_s * config.initial_temperature_fraction;
   const long cool_every = std::max<long>(1, config.iterations / 100);
+  FusionPlan candidate;         // random_move's target, reused every step
+  std::vector<KernelId> group;  // try_merge/try_move group scratch
 
   for (long it = 0; it < config.iterations; ++it) {
     if (control != nullptr && control->should_stop()) break;
-    FusionPlan candidate = current;
     Rng stream = rng.split();
-    if (!random_move(checker, candidate, stream)) continue;
-    const double cost =
-        delta_costing
-            ? objective.plan_cost_with_memo(candidate, memo, &memo_scratch)
-            : objective.plan_cost(candidate);
+    if (!random_move(checker, current, stream, candidate, group)) continue;
+    const double cost = objective.plan_cost_with_memo(candidate, memo, &memo_scratch);
     const double delta = cost - current_cost;
     if (delta <= 0.0 ||
         rng.next_double() < std::exp(-delta / std::max(temperature, 1e-18))) {
-      current = std::move(candidate);
+      std::swap(current, candidate);
       current_cost = cost;
-      if (delta_costing) std::swap(memo, memo_scratch);
+      std::swap(memo, memo_scratch);
       if (cost < result.best_cost_s) {
         result.best = current;
         result.best_cost_s = cost;

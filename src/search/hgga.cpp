@@ -141,13 +141,14 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
   // for the groups its edit created. Candidate costs stay bit-identical to
   // a full recost — plan_cost_with_memo sums the candidate's groups in its
   // own group order (see DESIGN.md item 18).
-  const bool delta_costing = objective.delta_costing();
   Objective::GroupCostMemo memo;
   Objective::GroupCostMemo candidate_memo;
   Objective::GroupCostMemo best_memo;
+  // One scratch plan and one scratch group serve every candidate edit.
+  FusionPlan candidate;
+  std::vector<KernelId> group;
   int edits = 0;
-  double cost = delta_costing ? objective.plan_cost_with_memo(plan, {}, &memo)
-                              : objective.plan_cost(plan);
+  double cost = objective.plan_cost_with_memo(plan, {}, &memo);
   // Latches once the control stops; every candidate loop below polls it.
   bool halted = false;
   const auto halt = [&] {
@@ -165,67 +166,39 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
 
     // `members` names the group the edit creates (merge/move) or dissolves
     // (split) — what a provenance decision attributes the cost delta to.
-    // Only tracked when a decision log is attached, so the bare path stays
-    // byte-for-byte the pre-provenance steepest descent.
-    auto consider = [&](FusionPlan&& candidate, DecisionLog::Site site,
-                        std::vector<KernelId>&& members) {
-      const double c =
-          delta_costing
-              ? objective.plan_cost_with_memo(candidate, memo, &candidate_memo)
-              : objective.plan_cost(candidate);
+    // Only copied when a decision log is attached.
+    auto consider = [&](DecisionLog::Site site, std::span<const KernelId> members) {
+      const double c = objective.plan_cost_with_memo(candidate, memo, &candidate_memo);
       if (c < best_cost - 1e-18) {
         best_cost = c;
-        best_plan = std::move(candidate);
+        std::swap(best_plan, candidate);
         best_site = site;
-        best_members = std::move(members);
-        if (delta_costing) std::swap(best_memo, candidate_memo);
+        if (provenance) best_members.assign(members.begin(), members.end());
+        std::swap(best_memo, candidate_memo);
       }
     };
 
     // merges
     for (int a = 0; a < plan.num_groups() && !halted; ++a) {
       for (int b = a + 1; b < plan.num_groups() && !halt(); ++b) {
-        std::vector<KernelId> merged(plan.group(a).begin(), plan.group(a).end());
-        merged.insert(merged.end(), plan.group(b).begin(), plan.group(b).end());
-        std::sort(merged.begin(), merged.end());
-        if (!checker.group_is_legal(merged)) continue;
-        FusionPlan candidate = plan;
-        candidate.merge_groups(a, b);
-        if (!checker.plan_is_schedulable(candidate)) continue;
-        consider(std::move(candidate), DecisionLog::Site::PolishMerge,
-                 provenance ? std::move(merged) : std::vector<KernelId>());
+        if (!try_merge(checker, plan, a, b, candidate, group)) continue;
+        consider(DecisionLog::Site::PolishMerge, group);
       }
     }
     // moves (kernel to a sharing neighbour's group)
     for (KernelId k = 0; k < plan.num_kernels() && !halted; ++k) {
       for (KernelId n : checker.sharing().neighbours(k)) {
         if (halt()) break;
-        const int from = plan.group_of(k);
-        const int to = plan.group_of(n);
-        if (from == to) continue;
-        std::vector<KernelId> target(plan.group(to).begin(), plan.group(to).end());
-        target.push_back(k);
-        std::sort(target.begin(), target.end());
-        if (!checker.group_is_legal(target)) continue;
-        FusionPlan candidate = plan;
-        candidate.move_kernel(k, to);
-        if (repair_plan(checker, candidate) > 0 &&
-            !checker.plan_is_legal(candidate)) {
-          continue;
-        }
-        consider(std::move(candidate), DecisionLog::Site::PolishMove,
-                 provenance ? std::move(target) : std::vector<KernelId>());
+        if (!try_move(checker, plan, k, plan.group_of(n), candidate, group)) continue;
+        consider(DecisionLog::Site::PolishMove, group);
       }
     }
     // splits
     for (int g = 0; g < plan.num_groups() && !halt(); ++g) {
       if (plan.group(g).size() < 2) continue;
-      FusionPlan candidate = plan;
+      candidate = plan;
       candidate.split_group(g);
-      consider(std::move(candidate), DecisionLog::Site::PolishSplit,
-               provenance ? std::vector<KernelId>(plan.group(g).begin(),
-                                                  plan.group(g).end())
-                          : std::vector<KernelId>());
+      consider(DecisionLog::Site::PolishSplit, plan.group(g));
     }
 
     if (best_cost < cost - 1e-18) {
@@ -236,7 +209,7 @@ int local_polish(const Objective& objective, FusionPlan& plan, double* cost_out,
       }
       plan = std::move(best_plan);
       cost = best_cost;
-      if (delta_costing) std::swap(memo, best_memo);
+      std::swap(memo, best_memo);
       ++edits;
       improved = true;
     }
@@ -312,7 +285,7 @@ void Hgga::evaluate_offspring(std::vector<Individual>& offspring,
         // Another offspring already scheduled this fingerprint: it resolves
         // from the batch in pass 3 without touching the shared cache — a
         // caller-side hit, like the memo ones, so counters stay balanced
-        // (evaluations == hits + misses) in every mode.
+        // (evaluations == hits + misses).
         ++memo_hits;
         s.resolved.push_back(-1.0);
         continue;
@@ -499,29 +472,16 @@ int Hgga::mutate(Individual& individual, Rng& rng,
       const KernelId other = neighbours[rng.next_below(neighbours.size())];
       const int ga = plan.group_of(k);
       const int gb = plan.group_of(other);
-      if (ga != gb) {
-        std::vector<KernelId>& merged = scratch_.members;
-        merged.assign(plan.group(ga).begin(), plan.group(ga).end());
-        merged.insert(merged.end(), plan.group(gb).begin(), plan.group(gb).end());
-        if (checker.group_is_legal(merged)) {
-          FusionPlan trial = plan;
-          trial.merge_groups(ga, gb);
-          if (checker.plan_is_schedulable(trial)) {
-            if (provenance) {
-              // Sort first: the evaluation merge_delta seeds into the cache
-              // is for the canonical member order the plan will later query,
-              // and delta_s carries the exact (union - a) - b associativity
-              // the expanded three-lookup form used.
-              std::sort(merged.begin(), merged.end());
-              const double delta = objective_.merge_delta(plan, ga, gb).delta_s;
-              telemetry->decisions->record(DecisionLog::Site::MutationMerge,
-                                           true, merged, delta,
-                                           objective_.dominant_component(merged));
-            }
-            plan = std::move(trial);
-            ++applied;
-          }
+      if (try_merge(checker, plan, ga, gb, scratch_.plan, scratch_.members)) {
+        if (provenance) {
+          // try_merge left `plan` pre-merge: price the edit against it.
+          const double delta = objective_.merge_delta(plan, ga, gb).delta_s;
+          telemetry->decisions->record(DecisionLog::Site::MutationMerge, true,
+                                       scratch_.members, delta,
+                                       objective_.dominant_component(scratch_.members));
         }
+        std::swap(plan, scratch_.plan);
+        ++applied;
       }
     }
   }
@@ -549,35 +509,26 @@ int Hgga::mutate(Individual& individual, Rng& rng,
     }
   }
 
-  // move one kernel to a neighbouring group
+  // move one kernel to a neighbouring group (split-repairing what it broke)
   if (rng.next_bool(config_.mutation_move_rate)) {
     const KernelId k =
         static_cast<KernelId>(rng.next_below(static_cast<std::uint64_t>(plan.num_kernels())));
     const auto& neighbours = checker.sharing().neighbours(k);
     if (!neighbours.empty()) {
       const KernelId other = neighbours[rng.next_below(neighbours.size())];
-      const int from = plan.group_of(k);
       const int to = plan.group_of(other);
-      if (from != to) {
-        std::vector<KernelId>& target = scratch_.members;
-        target.assign(plan.group(to).begin(), plan.group(to).end());
-        target.push_back(k);
-        std::sort(target.begin(), target.end());
-        if (checker.group_is_legal(target)) {
-          if (provenance) {
-            const double delta = objective_.group_cost(target).cost_s -
-                                 objective_.group_cost(plan.group(to)).cost_s -
-                                 objective_.original_time(k);
-            telemetry->decisions->record(DecisionLog::Site::MutationMove, true,
-                                         target, delta,
-                                         objective_.dominant_component(target));
-          }
-          plan.move_kernel(k, to);
-          // Removing k may have broken the source group's convexity or
-          // connectivity; split it if so (split-repair).
-          repair_plan(checker, plan);
-          ++applied;
+      if (try_move(checker, plan, k, to, scratch_.plan, scratch_.members)) {
+        if (provenance) {
+          const std::vector<KernelId>& target = scratch_.members;
+          const double delta = objective_.group_cost(target).cost_s -
+                               objective_.group_cost(plan.group(to)).cost_s -
+                               objective_.original_time(k);
+          telemetry->decisions->record(DecisionLog::Site::MutationMove, true,
+                                       target, delta,
+                                       objective_.dominant_component(target));
         }
+        std::swap(plan, scratch_.plan);
+        ++applied;
       }
     }
   }
@@ -747,21 +698,13 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
         // every group the operators kept intact is resolved without even a
         // cache lookup. Inherited entries can never go stale (a
         // fingerprint's cost is a pure function of the member set).
-        if (config_.batched_evaluation) {
-          merge_group_costs(a.group_costs, b.group_costs, child.group_costs);
-        } else {
-          child.group_costs.clear();
-        }
+        merge_group_costs(a.group_costs, b.group_costs, child.group_costs);
         parent_cost = std::min(a.cost, b.cost);
         ++stats.crossovers;
       } else {
         const Individual& parent = tournament(population, rng);
         child.plan = parent.plan;
-        if (config_.batched_evaluation) {
-          child.group_costs = parent.group_costs;
-        } else {
-          child.group_costs.clear();
-        }
+        child.group_costs = parent.group_costs;
       }
       stats.mutations += mutate(child, rng, telemetry);
       child.cost = -1.0;  // mark for evaluation
@@ -773,20 +716,10 @@ SearchResult Hgga::run(SearchControl* control, const HggaCheckpointing* checkpoi
     // the new generation is scored in place.
     arena.promote_offspring();
 
-    // --- evaluate (batched + deduplicated by default; the per-plan path is
-    //     kept for the A/B equivalence test and the throughput bench) ---
+    // --- evaluate (batched + deduplicated) ---
     {
       SpanTracer::Scope eval_span = scoped_span(telemetry, "hgga.evaluate");
-      if (config_.batched_evaluation) {
-        evaluate_offspring(population, telemetry);
-      } else {
-#pragma omp parallel for schedule(dynamic)
-        for (std::size_t i = 0; i < population.size(); ++i) {
-          if (population[i].cost < 0.0) {
-            population[i].cost = objective_.plan_cost(population[i].plan);
-          }
-        }
-      }
+      evaluate_offspring(population, telemetry);
     }
     for (std::size_t i = 0; i < population.size(); ++i) {
       if (!std::isnan(crossover_parent_cost[i]) &&

@@ -11,12 +11,17 @@
 //    into a copy of the other; groups that collide are dissolved and their
 //    orphans re-inserted best-fit-first (legality-checked);
 //  * mutations: merge two sharing-connected groups / split a group /
-//    move one kernel between neighbouring groups (with split-repair);
+//    move one kernel between neighbouring groups (with split-repair) —
+//    merges and moves go through try_merge / try_move
+//    (search/population.hpp), the one legality gate every search method
+//    edits plans through;
 //  * selection: tournament; replacement: generational with elitism;
 //  * stop: no improvement of the best for `stall_generations` (the paper's
 //    criterion), or the generation cap.
 //
-// Fitness evaluation is OpenMP-parallel across the population (the paper
+// Fitness evaluation is batched per generation: offspring resolve their
+// groups against inherited per-individual memos and the shared cache, and
+// only the distinct unseen groups are evaluated, OpenMP-parallel (the paper
 // ran the solver with OpenMP on a Xeon X5670). The population itself lives
 // in the double-buffered arena of search/population.hpp, so generational
 // replacement recycles every individual's storage instead of reallocating.
@@ -74,11 +79,6 @@ struct HggaConfig {
   /// The "hybrid" in HGGA: steepest-descent local search (merge / move /
   /// split neighbourhood) applied to the final best individual.
   bool local_polish = true;
-  /// Batched, deduplicated evaluation of each generation's offspring with
-  /// incremental per-individual group costing (see DESIGN.md "Evaluation
-  /// engine"). Results are bit-identical to per-plan evaluation — the
-  /// switch exists for the throughput bench and the equivalence test.
-  bool batched_evaluation = true;
   std::uint64_t seed = 0x5eed;
 };
 
@@ -169,7 +169,8 @@ class Hgga {
     std::vector<char> taken;        ///< kernels claimed by injected groups
     std::vector<KernelId> orphans;  ///< members of dissolved groups
     std::vector<KernelId> candidate;  ///< host-group trial for one orphan
-    std::vector<KernelId> members;  ///< merge/move member scratch (mutate)
+    std::vector<KernelId> members;  ///< try_merge/try_move group scratch (mutate)
+    FusionPlan plan;                ///< try_merge/try_move result, swapped in
 
     // evaluate_offspring workspace: per-group data laid out flat across the
     // whole offspring batch (ind_begin[i] is individual i's first slot).

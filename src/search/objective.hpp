@@ -60,11 +60,6 @@ class Objective {
     bool quarantine_faults = true;
     /// Lock stripes of the group-cost cache (rounded up to a power of two).
     int cache_shards = GroupCostCache::kDefaultShards;
-    /// Master switch for the delta-costing engine: searches cost single-merge
-    /// moves through merge_delta / plan_cost_with_memo instead of full-plan
-    /// recosting. Results are bit-identical either way (see DESIGN.md item
-    /// 18); the switch exists for the equivalence tests and the bench.
-    bool delta_costing = true;
     /// Debug cross-check: every merge_delta / plan_cost_with_memo re-resolves
     /// its cached components from the shared cache and asserts bitwise (0
     /// ULP) agreement, counting failures in CacheStats::delta_mismatches.
@@ -105,6 +100,9 @@ class Objective {
 
   GroupCost group_cost(std::span<const KernelId> group) const;
 
+  /// Full recost: every group resolved through the cache and summed in
+  /// group order. The searches price edits through the delta path below;
+  /// this is the oracle that path is tested against, bit for bit.
   double plan_cost(const FusionPlan& plan) const;
 
   /// Batched, deduplicated scoring of a whole population: deduplicates
@@ -123,6 +121,9 @@ class Objective {
   // costs stay bit-identical because callers re-sum the per-group values in
   // the candidate's group order (plan_cost_with_memo) instead of folding the
   // delta into a running total, which float non-associativity would skew.
+  // This is the only path the searches cost their candidate edits through;
+  // which edits are legal is decided by try_merge / try_move
+  // (search/population.hpp).
 
   /// Incrementally costs the merge of groups gi and gj of `plan`: the union
   /// group's fingerprint is mixed commutatively from the two member spans
@@ -151,10 +152,7 @@ class Objective {
   double plan_cost_with_memo(const FusionPlan& plan, const GroupCostMemo& memo,
                              GroupCostMemo* memo_out = nullptr) const;
 
-  /// True when searches should take the incremental-move path.
-  bool delta_costing() const noexcept { return options_.delta_costing; }
-
-  /// Audits one cold full recost performed by a delta-enabled search outside
+  /// Audits one cold full recost performed by a search outside
   /// plan_cost_with_memo (e.g. greedy initializing its per-row costs).
   void note_delta_full_recost() const noexcept {
     delta_full_recosts_.fetch_add(1, std::memory_order_relaxed);
@@ -177,7 +175,7 @@ class Objective {
   /// Credits `n` group queries answered from caller-side state — the
   /// HGGA's per-Individual memos, or duplicates resolved from a batch's
   /// own pending evaluations — without touching the shared cache, so
-  /// evaluations/hit-rate statistics stay comparable across modes.
+  /// evaluations/hit-rate statistics stay comparable with plan_cost's.
   void note_incremental_hits(long n) const noexcept;
 
   /// Telemetry-only attribution for decision provenance: name of the

@@ -17,25 +17,18 @@ FusionPlan random_legal_plan(const LegalityChecker& checker, Rng& rng,
   }
   rng.shuffle(order);
 
+  FusionPlan trial;
+  std::vector<KernelId> group;
   for (KernelId k : order) {
     if (!rng.next_bool(aggressiveness)) continue;
     const auto& neighbours = checker.sharing().neighbours(k);
     if (neighbours.empty()) continue;
-    // Try a few random neighbours; accept the first merge that is both
-    // group-legal and keeps the plan schedulable.
+    // Try a few random neighbours; accept the first legal merge.
     const int attempts = std::min<int>(3, static_cast<int>(neighbours.size()));
     for (int t = 0; t < attempts; ++t) {
       const KernelId other = neighbours[rng.next_below(neighbours.size())];
-      const int ga = plan.group_of(k);
-      const int gb = plan.group_of(other);
-      if (ga == gb) continue;
-      std::vector<KernelId> merged(plan.group(ga).begin(), plan.group(ga).end());
-      merged.insert(merged.end(), plan.group(gb).begin(), plan.group(gb).end());
-      if (!checker.group_is_legal(merged)) continue;
-      FusionPlan trial = plan;
-      trial.merge_groups(ga, gb);
-      if (checker.plan_is_schedulable(trial)) {
-        plan = std::move(trial);
+      if (try_merge(checker, plan, plan.group_of(k), plan.group_of(other), trial, group)) {
+        std::swap(plan, trial);
         break;
       }
     }
@@ -45,16 +38,15 @@ FusionPlan random_legal_plan(const LegalityChecker& checker, Rng& rng,
 
 int repair_plan(const LegalityChecker& checker, FusionPlan& plan) {
   int repaired = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int g = 0; g < plan.num_groups(); ++g) {
-      if (plan.group(g).size() >= 2 && !checker.group_is_legal(plan.group(g))) {
-        plan.split_group(g);
-        ++repaired;
-        changed = true;
-        break;  // indices shifted; rescan
-      }
+  // Group legality is group-local and split_group appends the new
+  // singletons at the end, so one pass that re-examines the index it just
+  // split (now holding the next group) checks every group once.
+  for (int g = 0; g < plan.num_groups();) {
+    if (plan.group(g).size() >= 2 && !checker.group_is_legal(plan.group(g))) {
+      plan.split_group(g);
+      ++repaired;
+    } else {
+      ++g;
     }
   }
   // Plan-level: break condensation cycles by dissolving the largest fused
@@ -75,6 +67,31 @@ int repair_plan(const LegalityChecker& checker, FusionPlan& plan) {
     ++repaired;
   }
   return repaired;
+}
+
+bool try_merge(const LegalityChecker& checker, const FusionPlan& plan, int a, int b,
+               FusionPlan& out, std::vector<KernelId>& group) {
+  if (a == b) return false;
+  group.assign(plan.group(a).begin(), plan.group(a).end());
+  group.insert(group.end(), plan.group(b).begin(), plan.group(b).end());
+  std::sort(group.begin(), group.end());
+  if (!checker.group_is_legal(group)) return false;
+  out = plan;
+  out.merge_groups(a, b);
+  return checker.plan_is_schedulable(out);
+}
+
+bool try_move(const LegalityChecker& checker, const FusionPlan& plan, KernelId k, int to,
+              FusionPlan& out, std::vector<KernelId>& group) {
+  if (plan.group_of(k) == to) return false;
+  group.assign(plan.group(to).begin(), plan.group(to).end());
+  group.push_back(k);
+  std::sort(group.begin(), group.end());
+  if (!checker.group_is_legal(group)) return false;
+  out = plan;
+  out.move_kernel(k, to);
+  repair_plan(checker, out);
+  return true;
 }
 
 }  // namespace kf

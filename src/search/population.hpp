@@ -1,5 +1,6 @@
 // Population utilities shared by the evolutionary and baseline searches:
-// random legal plan generation, legality-preserving repair, and the SoA
+// random legal plan generation, legality-preserving repair, the merge/move
+// legality gate every search method edits plans through, and the SoA
 // population arena the HGGA breeds into.
 //
 // The arena exists because offspring churn used to dominate the breed span:
@@ -29,10 +30,30 @@ namespace kf {
 FusionPlan random_legal_plan(const LegalityChecker& checker, Rng& rng,
                              double aggressiveness = 0.8);
 
-/// Ensures every group of `plan` is legal by splitting violating groups
-/// into singletons (singletons are always legal). Returns the number of
-/// groups split.
+/// Ensures `plan` is legal: splits every illegal group into singletons
+/// (singletons are always legal), then dissolves the largest fused group on
+/// each condensation cycle until the plan is schedulable. Returns the number
+/// of groups split.
 int repair_plan(const LegalityChecker& checker, FusionPlan& plan);
+
+/// The one legality gate for the merge and move edits every search method
+/// explores. Each builds the group the edit creates into `group` (caller
+/// scratch, left sorted — the member list provenance records), checks it
+/// against Fig. 4's group constraints, and only then copies `plan` into
+/// `out` and applies the edit. Returns whether `out` holds a legal plan;
+/// `plan` is never touched and `out` is unspecified on false. An edit that
+/// changes nothing (a == b, or k already in `to`) is rejected.
+///
+/// try_merge: groups a and b become one; the merged plan must stay
+/// schedulable.
+bool try_merge(const LegalityChecker& checker, const FusionPlan& plan, int a, int b,
+               FusionPlan& out, std::vector<KernelId>& group);
+
+/// try_move: kernel k joins group `to`; repair_plan then splits whatever
+/// the move broke (the source group's convexity or kinship, or a new
+/// condensation cycle), so the edit holds whenever the target group is legal.
+bool try_move(const LegalityChecker& checker, const FusionPlan& plan, KernelId k, int to,
+              FusionPlan& out, std::vector<KernelId>& group);
 
 /// One member of an evolutionary population.
 struct Individual {

@@ -352,27 +352,6 @@ bool PlanServer::probe_store(Context& ctx, ServeResult& result) {
   return true;
 }
 
-bool PlanServer::repair_plan(const Context& ctx, FusionPlan& plan) const {
-  // Split every illegal group into singletons (singletons are always
-  // legal), then demand schedulability — splitting only removes contracted
-  // precedence edges, so a repaired plan that still has a cycle is beyond
-  // this rung.
-  const int n = ctx.expansion.program.num_kernels();
-  FusionPlan repaired(n);
-  std::vector<KernelId> members;
-  for (int g = 0; g < plan.num_groups(); ++g) {
-    members.assign(plan.group(g).begin(), plan.group(g).end());
-    if (members.size() < 2 || !ctx.checker.group_is_legal(members)) continue;
-    for (std::size_t i = 1; i < members.size(); ++i)
-      repaired.merge_groups(repaired.group_of(members[0]),
-                            repaired.group_of(members[i]));
-  }
-  repaired.canonicalize();
-  if (!ctx.checker.plan_is_schedulable(repaired)) return false;
-  plan = std::move(repaired);
-  return true;
-}
-
 void PlanServer::write_back(Context& ctx, const ServeResult& result,
                             RequestContext& rc) {
   if (!config_.write_back) return;
@@ -576,8 +555,9 @@ void PlanServer::miss_ladder(Context& ctx, const ServeRequest& request,
       } catch (const std::exception&) {
         continue;
       }
-      if (!ctx.checker.plan_is_legal(plan) && !repair_plan(ctx, plan))
-        continue;
+      // A plan stored for another device may break this one's resource
+      // limits; split-repair makes it legal (and canonical when it changed).
+      if (repair_plan(ctx.checker, plan) > 0) plan.canonicalize();
       // The polish gets the same slice of the remaining deadline as a search
       // attempt and returns its legal best-so-far when the slice runs out.
       // (Limits reads a deadline <= 0 as none, so an exhausted one is 1 ns.)

@@ -18,10 +18,10 @@
 //                        stored plan that does not check out is evicted,
 //                        never served;
 //        PolishedStored  nearest stored plan for the same program (any
-//                        device), repaired to legality and improved by the
-//                        HGGA's steepest-descent local polish within the
-//                        request's remaining deadline — the cross-device
-//                        warm start;
+//                        device), split-repaired to legality (repair_plan)
+//                        and improved by the HGGA's steepest-descent local
+//                        polish within the request's remaining deadline —
+//                        the cross-device warm start;
 //        FullSearch      SearchDriver under the request's remaining
 //                        deadline/eval budget, retried with exponential
 //                        backoff when a fault storm aborts an attempt
@@ -316,7 +316,6 @@ class PlanServer {
   /// accepted, becomes the memo. A stored plan that fails validation is
   /// evicted, never served. On a hit sets result.{rung, plan, cost_s}.
   bool probe_store(Context& ctx, ServeResult& result);
-  bool repair_plan(const Context& ctx, FusionPlan& plan) const;
   /// Rungs 2..4 (polish / full search / floor) for a confirmed store miss;
   /// sets result.{rung, plan, cost_s, retries}. Write-back and waiter
   /// publication happen in the caller.

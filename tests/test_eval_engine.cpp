@@ -3,7 +3,7 @@
 // quarantine folded into entries, the peek/force counter contract,
 // batched deduplicated population scoring (plan_costs), and the HGGA's
 // incremental costing — including the bit-identity guarantees across
-// thread counts and batched vs per-plan evaluation.
+// thread counts and the golden pins every search method must reproduce.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,17 +313,6 @@ void expect_same_result(const SearchResult& a, const SearchResult& b) {
   }
 }
 
-TEST(EvalEngine, HggaBatchedMatchesUnbatchedBitForBit) {
-  EngineRig rig_batched = suite_rig(16, 5);
-  EngineRig rig_serial = suite_rig(16, 5);
-  HggaConfig config = small_hgga();
-  config.batched_evaluation = true;
-  const SearchResult batched = Hgga(rig_batched.objective, config).run();
-  config.batched_evaluation = false;
-  const SearchResult serial = Hgga(rig_serial.objective, config).run();
-  expect_same_result(batched, serial);
-}
-
 TEST(EvalEngine, HggaDeterministicAcrossThreadCounts) {
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
@@ -343,31 +332,17 @@ TEST(EvalEngine, HggaDeterministicAcrossThreadCounts) {
 }
 
 TEST(EvalEngine, HggaCountersBalanceAcrossModes) {
-  // evaluations == hits + misses in both modes, and the incremental memo
-  // never answers more queries than there were hits. With delta costing
-  // off as well, nothing produces caller-side hits in unbatched mode.
-  for (const bool batched : {true, false}) {
-    TestSuiteConfig cfg;
-    cfg.kernels = 16;
-    cfg.arrays = 32;
-    cfg.seed = 5;
-    cfg.grid = GridDims{256, 128, 16};
-    Objective::Options options;
-    options.delta_costing = batched;
-    EngineRig rig(make_testsuite_program(cfg), options);
-    HggaConfig config = small_hgga();
-    config.batched_evaluation = batched;
-    (void)Hgga(rig.objective, config).run();
-    const Objective::CacheStats stats = rig.objective.cache_stats();
-    EXPECT_EQ(stats.evaluations, stats.hits + stats.misses) << batched;
-    EXPECT_LE(stats.incremental_hits, stats.hits) << batched;
-    EXPECT_GT(stats.hit_rate(), 0.5) << batched;
-    if (!batched) {
-      EXPECT_EQ(stats.incremental_hits, 0);
-      EXPECT_EQ(stats.delta_hits, 0);
-    }
-    EXPECT_EQ(stats.delta_mismatches, 0) << batched;
-  }
+  // evaluations == hits + misses with the per-individual memos answering
+  // part of the queries, and the memo never answers more queries than
+  // there were hits.
+  EngineRig rig = suite_rig(16, 5);
+  (void)Hgga(rig.objective, small_hgga()).run();
+  const Objective::CacheStats stats = rig.objective.cache_stats();
+  EXPECT_EQ(stats.evaluations, stats.hits + stats.misses);
+  EXPECT_GT(stats.incremental_hits, 0);
+  EXPECT_LE(stats.incremental_hits, stats.hits);
+  EXPECT_GT(stats.hit_rate(), 0.5);
+  EXPECT_EQ(stats.delta_mismatches, 0);
 }
 
 // ---------- delta costing (DESIGN.md item 18) ----------
@@ -381,9 +356,8 @@ EngineRig suite_rig_with(int kernels, std::uint64_t seed, Objective::Options opt
   return EngineRig(make_testsuite_program(cfg), options);
 }
 
-Objective::Options delta_on_options() {
+Objective::Options cross_checked_options() {
   Objective::Options options;
-  options.delta_costing = true;
   options.cross_check_deltas = true;  // explicit: Release defaults it off
   return options;
 }
@@ -395,7 +369,7 @@ TEST(DeltaCosting, MergeDeltaMatchesFullRecostBitForBit) {
   // per-group costs with the union cost substituted at gi and gj's row
   // skipped must equal plan_cost of the actually-merged plan bit for bit,
   // and delta_s must be exactly (merged - rows[gi]) - rows[gj].
-  EngineRig rig = suite_rig_with(14, 11, delta_on_options());
+  EngineRig rig = suite_rig_with(14, 11, cross_checked_options());
   Rng rng(0x77);
   for (int trial = 0; trial < 6; ++trial) {
     const FusionPlan plan = random_legal_plan(rig.checker, rng, 0.15 + 0.1 * trial);
@@ -426,7 +400,7 @@ TEST(DeltaCosting, MergeDeltaMatchesFullRecostBitForBit) {
 }
 
 TEST(DeltaCosting, PlanCostWithMemoMatchesPlanCost) {
-  EngineRig rig = suite_rig_with(16, 13, delta_on_options());
+  EngineRig rig = suite_rig_with(16, 13, cross_checked_options());
   Rng rng(0x99);
   Objective::GroupCostMemo memo, scratch;
   FusionPlan plan = random_legal_plan(rig.checker, rng, 0.5);
@@ -476,71 +450,135 @@ SearchResult run_method(Method method, EngineRig& rig) {
   std::abort();
 }
 
-TEST(DeltaCosting, AllMethodsBitIdenticalDeltaOnVsOffAcrossThreadCounts) {
-  // The acceptance contract: every search method returns the same plan and
-  // the same (bitwise) cost with delta costing on or off, at any thread
-  // count, with the debug cross-check armed the whole time.
-  for (const Method method : {Method::Greedy, Method::Hgga, Method::Annealing,
-                              Method::Exhaustive, Method::Random}) {
-    const int kernels = method == Method::Exhaustive ? 8 : 16;
-    Objective::Options off;
-    off.delta_costing = false;
-    EngineRig rig_off = suite_rig_with(kernels, 7, off);
-    const SearchResult reference = run_method(method, rig_off);
+// Golden pins: the best plan, generation count and fault count each search
+// method returned on the full-recost, per-plan-evaluation reference paths
+// these engines replaced (recorded before those paths were deleted). The
+// delta and batched paths must keep reproducing them at every thread count
+// with the cross-check armed; the cost pin is the reference's best cost.
+struct GoldenPin {
+  Method method;
+  const char* plan;
+  int generations;
+  long faults;
+  double cost_s;
+};
+
+constexpr GoldenPin kMethodPins[] = {
+    {Method::Greedy, "{0,1,2,3,4} {5,6,7,8,9,10,11} {12,13,14,15}", 0, 0,
+     0.00079098296337174693},
+    {Method::Hgga, "{0,1,2,3,6,7,12} {4,5} {8,9,10,11,13,14,15}", 12, 0,
+     0.00074634811553473844},
+    {Method::Annealing, "{0,1,2,3,4,5,6,8,9,14} {7,10,11,12,13,15}", 0, 0,
+     0.00085195918298934796},
+    {Method::Exhaustive, "{0,1,2,3,4,5,6,7}", 0, 0, 0.00025727174766119717},
+    {Method::Random, "{0} {1,2,3} {4,5,6,7,8,9,10} {11,12,13,14,15}", 0, 0,
+     0.00085781192337703064},
+};
+
+// Under FaultPlan{Objective, 0.3, seed 21}: quarantined groups cost the
+// penalty, and both paths must see (and quarantine) the same groups.
+constexpr GoldenPin kFaultPins[] = {
+    {Method::Greedy, "{0,1,2,3} {4} {5,6,7,8,9,10,11} {12,13,14,15}", 0, 26,
+     0.00081060497705435575},
+    {Method::Annealing, "{0,1,2,3,4,5,6} {7,8,9,10,11} {12,13,14,15}", 0, 23,
+     0.00076996328202750012},
+};
+
+// small_hgga() on suite_rig(16, 5), the configuration the batched/per-plan
+// equivalence test ran.
+constexpr GoldenPin kHggaPin = {Method::Hgga, "{0,1,2,3,4,5,6,7,12} {8} {9,10,11,13,14,15}",
+                                30, 0, 0.00075917049177212518};
 
 #ifdef _OPENMP
-    const int saved = omp_get_max_threads();
-    const int thread_counts[] = {1, 4, 8};
+constexpr int kPinThreadCounts[] = {1, 4, 8};
 #else
-    const int thread_counts[] = {1};
+constexpr int kPinThreadCounts[] = {1};
 #endif
-    for (const int threads : thread_counts) {
+
+/// Runs `run` once per pinned thread count and checks each result against
+/// `pin`; later runs must also match the first bit for bit (cost and
+/// per-generation history). `run` returns the result and its rig's stats.
+template <typename Run>
+void expect_pinned(const GoldenPin& pin, Run run) {
 #ifdef _OPENMP
-      omp_set_num_threads(threads);
+  const int saved = omp_get_max_threads();
 #endif
-      EngineRig rig_on = suite_rig_with(kernels, 7, delta_on_options());
-      const SearchResult got = run_method(method, rig_on);
-      const int label = static_cast<int>(method) * 100 + threads;
-      EXPECT_EQ(got.best.groups(), reference.best.groups()) << label;
-      EXPECT_EQ(bits(got.best_cost_s), bits(reference.best_cost_s)) << label;
-      EXPECT_EQ(got.generations, reference.generations) << label;
-      const Objective::CacheStats stats = rig_on.objective.cache_stats();
-      EXPECT_EQ(stats.delta_mismatches, 0) << label;
-      if (method == Method::Greedy || method == Method::Hgga ||
-          method == Method::Annealing) {
-        EXPECT_GT(stats.delta_hits, 0) << label;  // the delta engine engaged
+  SearchResult first;
+  for (const int threads : kPinThreadCounts) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    Objective::CacheStats stats;
+    const SearchResult got = run(&stats);
+    const int label = static_cast<int>(pin.method) * 100 + threads;
+    EXPECT_EQ(got.best.to_string(), pin.plan) << label;
+    EXPECT_EQ(got.generations, pin.generations) << label;
+    EXPECT_EQ(got.fault_report.faults, pin.faults) << label;
+    EXPECT_NEAR(got.best_cost_s, pin.cost_s, 1e-12 * pin.cost_s) << label;
+    EXPECT_EQ(stats.delta_mismatches, 0) << label;
+    if (threads == kPinThreadCounts[0]) {
+      first = got;
+    } else {
+      EXPECT_EQ(bits(got.best_cost_s), bits(first.best_cost_s)) << label;
+      ASSERT_EQ(got.history.size(), first.history.size()) << label;
+      for (std::size_t i = 0; i < got.history.size(); ++i) {
+        EXPECT_EQ(bits(got.history[i]), bits(first.history[i])) << label << " gen " << i;
       }
     }
+  }
 #ifdef _OPENMP
-    omp_set_num_threads(saved);
+  omp_set_num_threads(saved);
 #endif
+}
+
+TEST(DeltaCosting, AllMethodsMatchGoldenPinsAcrossThreadCounts) {
+  // Every search method returns its pinned plan at any thread count, with
+  // the debug cross-check armed the whole time, and the best cost agrees
+  // with the full-recost oracle.
+  for (const GoldenPin& pin : kMethodPins) {
+    expect_pinned(pin, [&](Objective::CacheStats* stats) {
+      const int kernels = pin.method == Method::Exhaustive ? 8 : 16;
+      EngineRig rig = suite_rig_with(kernels, 7, cross_checked_options());
+      SearchResult got = run_method(pin.method, rig);
+      EXPECT_NEAR(rig.objective.plan_cost(got.best), got.best_cost_s,
+                  1e-12 * got.best_cost_s);
+      *stats = rig.objective.cache_stats();
+      if (pin.method == Method::Greedy || pin.method == Method::Hgga ||
+          pin.method == Method::Annealing) {
+        EXPECT_GT(stats->delta_hits, 0);  // the delta engine engaged
+      }
+      return got;
+    });
   }
 }
 
 TEST(DeltaCosting, BitIdenticalUnderFaultQuarantine) {
   // Injected evaluation faults quarantine groups at a penalty cost; the
-  // delta path must resolve quarantined entries from the cache exactly like
-  // the full-recost path, so searches stay bit-identical and fault counts
-  // match. FaultInjector decisions are pure in (seed, site, key), so both
-  // modes see the same groups fault.
-  for (const Method method : {Method::Greedy, Method::Annealing}) {
-    SearchResult results[2];
-    long faults[2] = {0, 0};
-    for (const bool delta : {false, true}) {
+  // delta path resolves quarantined entries from the cache exactly like a
+  // full recost, so the pinned plans and fault counts hold. FaultInjector
+  // decisions are pure in (seed, site, key), so every run sees the same
+  // groups fault.
+  for (const GoldenPin& pin : kFaultPins) {
+    expect_pinned(pin, [&](Objective::CacheStats* stats) {
       ScopedFaultInjection arm(FaultPlan{FaultSite::Objective, 0.3, 21});
-      Objective::Options options = delta_on_options();
-      options.delta_costing = delta;
-      EngineRig rig = suite_rig_with(16, 7, options);
-      results[delta] = run_method(method, rig);
-      faults[delta] = rig.objective.faults();
-      EXPECT_EQ(rig.objective.cache_stats().delta_mismatches, 0);
-    }
-    EXPECT_GT(faults[0], 0);  // the injection actually fired
-    EXPECT_EQ(faults[0], faults[1]);
-    EXPECT_EQ(results[0].best.groups(), results[1].best.groups());
-    EXPECT_EQ(bits(results[0].best_cost_s), bits(results[1].best_cost_s));
-    EXPECT_EQ(results[0].fault_report.faults, results[1].fault_report.faults);
+      EngineRig rig = suite_rig_with(16, 7, cross_checked_options());
+      SearchResult got = run_method(pin.method, rig);
+      EXPECT_EQ(rig.objective.faults(), pin.faults);
+      *stats = rig.objective.cache_stats();
+      return got;
+    });
   }
+}
+
+TEST(EvalEngine, HggaMatchesGoldenPinAcrossThreadCounts) {
+  // Batched, memo-inheriting evaluation reproduces the per-plan reference
+  // run: same best plan, generation count and history at any thread count.
+  expect_pinned(kHggaPin, [](Objective::CacheStats* stats) {
+    EngineRig rig = suite_rig_with(16, 5, cross_checked_options());
+    SearchResult got = Hgga(rig.objective, small_hgga()).run();
+    *stats = rig.objective.cache_stats();
+    return got;
+  });
 }
 
 // ---------- population arena ----------
@@ -550,7 +588,7 @@ TEST(PopulationArena, SteadyStateGenerationsAllocateNothing) {
   // offspring slots plus a promote must perform zero heap allocations:
   // FusionPlan's SoA vectors and the per-Individual memos copy-assign into
   // retained capacity, and promote_offspring only swaps the pools.
-  EngineRig rig = suite_rig_with(16, 13, delta_on_options());
+  EngineRig rig = suite_rig_with(16, 13, cross_checked_options());
   Rng rng(0x51);
   constexpr int kPop = 12;
   Population arena;

@@ -2,8 +2,10 @@
 // with parameterized gtest suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 
 #include "apps/testsuite.hpp"
 #include "graph/dag.hpp"
@@ -58,6 +60,44 @@ TEST_P(SeedSweep, RandomPlansAreFullyLegal) {
     }
     EXPECT_EQ(total, plan.num_kernels());
   }
+}
+
+TEST_P(SeedSweep, CheckGroupVerdictIgnoresMemberOrder) {
+  // try_merge / try_move sort the group they check, while some callers
+  // hand check_group unsorted unions: the verdict — and each constraint
+  // predicate behind it — must depend on the member set only.
+  const Program p = make_program();
+  // Tight SMEM so resource verdicts occur alongside kinship/convexity ones.
+  const LegalityChecker checker(p, DeviceSpec::k20x().with_smem_capacity(8 * 1024));
+  Rng rng(GetParam() * 13 + 5);
+  std::set<LegalityVerdict> seen;
+  for (int trial = 0; trial < 60; ++trial) {
+    // Grow a group by random sharing-neighbour steps, with an occasional
+    // random kernel so disconnected groups show up too.
+    std::vector<KernelId> group{static_cast<KernelId>(rng.next_below(16))};
+    const int size = 2 + static_cast<int>(rng.next_below(6));
+    while (static_cast<int>(group.size()) < size) {
+      const KernelId from = group[rng.next_below(group.size())];
+      const auto& neighbours = checker.sharing().neighbours(from);
+      const KernelId k = neighbours.empty() || rng.next_bool(0.2)
+                             ? static_cast<KernelId>(rng.next_below(16))
+                             : neighbours[rng.next_below(neighbours.size())];
+      if (std::find(group.begin(), group.end(), k) == group.end()) group.push_back(k);
+    }
+    std::vector<KernelId> sorted = group;
+    std::sort(sorted.begin(), sorted.end());
+    const LegalityVerdict verdict = checker.check_group(sorted);
+    const bool connected = checker.sharing().group_connected(sorted);
+    const bool convex = checker.execution_order().group_is_convex(sorted);
+    seen.insert(verdict);
+    for (int order = 0; order < 4; ++order) {
+      rng.shuffle(group);
+      EXPECT_EQ(checker.check_group(group), verdict) << to_string(verdict);
+      EXPECT_EQ(checker.sharing().group_connected(group), connected);
+      EXPECT_EQ(checker.execution_order().group_is_convex(group), convex);
+    }
+  }
+  EXPECT_GE(seen.size(), 2u) << "the sweep must reach more than one verdict";
 }
 
 TEST_P(SeedSweep, ExpansionRemovesAllWarWaw) {

@@ -1,6 +1,7 @@
 // Unit tests for kf_search: the objective (memoisation, constraint 1.1),
-// random plan generation and repair, the HGGA (legality preservation,
-// improvement, determinism), exhaustive ground truth and baselines.
+// random plan generation, repair and the try_merge/try_move legality gate,
+// the HGGA (legality preservation, improvement, determinism), exhaustive
+// ground truth and baselines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,6 +131,134 @@ TEST(Population, RepairSplitsIllegalGroups) {
   const int repaired = repair_plan(rig.checker, bad);
   EXPECT_GE(repaired, 1);
   EXPECT_TRUE(rig.checker.plan_is_legal(bad));
+}
+
+/// The repair loop as first written: rescan from group 0 after every
+/// split. The one-pass repair_plan must split the same groups in the same
+/// order, so both leave bit-identical plans.
+int restarting_repair(const LegalityChecker& checker, FusionPlan& plan) {
+  int repaired = 0;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int g = 0; g < plan.num_groups(); ++g) {
+      if (plan.group(g).size() >= 2 && !checker.group_is_legal(plan.group(g))) {
+        plan.split_group(g);
+        ++repaired;
+        changed = true;
+        break;
+      }
+    }
+  }
+  for (;;) {
+    const std::vector<int> stuck = checker.cyclic_groups(plan);
+    if (stuck.empty()) break;
+    int victim = -1;
+    std::size_t victim_size = 1;
+    for (int g : stuck) {
+      if (plan.group(g).size() > victim_size) {
+        victim_size = plan.group(g).size();
+        victim = g;
+      }
+    }
+    plan.split_group(victim);
+    ++repaired;
+  }
+  return repaired;
+}
+
+bool same_layout(const FusionPlan& a, const FusionPlan& b) {
+  return std::ranges::equal(a.flat_members(), b.flat_members()) &&
+         std::ranges::equal(a.flat_offsets(), b.flat_offsets());
+}
+
+TEST(Population, OnePassRepairMatchesRestartingRepair) {
+  SearchRig rig = suite_rig(16, 5);
+  Rng rng(0x4e9a);
+  int total_splits = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    // Random partitions: most groups violate something, some plans cycle.
+    const int buckets = 2 + static_cast<int>(rng.next_below(6));
+    std::vector<std::vector<KernelId>> groups(static_cast<std::size_t>(buckets));
+    for (KernelId k = 0; k < 16; ++k) groups[rng.next_below(groups.size())].push_back(k);
+    std::erase_if(groups, [](const auto& g) { return g.empty(); });
+    FusionPlan one_pass = FusionPlan::from_groups(16, groups);
+    FusionPlan restarting = one_pass;
+    const int splits = repair_plan(rig.checker, one_pass);
+    EXPECT_EQ(splits, restarting_repair(rig.checker, restarting)) << trial;
+    EXPECT_TRUE(same_layout(one_pass, restarting)) << one_pass.to_string();
+    EXPECT_TRUE(rig.checker.plan_is_legal(one_pass)) << one_pass.to_string();
+    total_splits += splits;
+  }
+  EXPECT_GT(total_splits, 40) << "the sweep must exercise repeated splits";
+}
+
+TEST(Population, TryMergeIsTheMergeLegalityGate) {
+  SearchRig rig = suite_rig(16, 5);
+  Rng rng(0x3e7);
+  FusionPlan out;
+  std::vector<KernelId> group;
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    const FusionPlan plan = random_legal_plan(rig.checker, rng, 0.3);
+    const FusionPlan before = plan;
+    EXPECT_FALSE(try_merge(rig.checker, plan, 0, 0, out, group));
+    for (int a = 0; a < plan.num_groups(); ++a) {
+      for (int b = a + 1; b < plan.num_groups(); ++b) {
+        FusionPlan merged = plan;
+        merged.merge_groups(a, b);
+        std::vector<KernelId> unite(plan.group(a).begin(), plan.group(a).end());
+        unite.insert(unite.end(), plan.group(b).begin(), plan.group(b).end());
+        std::sort(unite.begin(), unite.end());
+        const bool expect = rig.checker.group_is_legal(unite) &&
+                            rig.checker.plan_is_schedulable(merged);
+        const bool ok = try_merge(rig.checker, plan, a, b, out, group);
+        EXPECT_EQ(ok, expect) << a << "," << b;
+        EXPECT_EQ(group, unite);
+        if (ok) {
+          EXPECT_TRUE(same_layout(out, merged));
+          EXPECT_TRUE(rig.checker.plan_is_legal(out));
+        }
+        ok ? ++accepted : ++rejected;
+      }
+    }
+    EXPECT_TRUE(same_layout(plan, before)) << "try_merge must not touch its input";
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(Population, TryMoveAcceptsExactlyTheLegalTargets) {
+  SearchRig rig = suite_rig(16, 5);
+  Rng rng(0x3e8);
+  FusionPlan out;
+  std::vector<KernelId> group;
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    const FusionPlan plan = random_legal_plan(rig.checker, rng, 0.6);
+    const FusionPlan before = plan;
+    for (KernelId k = 0; k < plan.num_kernels(); ++k) {
+      EXPECT_FALSE(try_move(rig.checker, plan, k, plan.group_of(k), out, group));
+      for (KernelId n : rig.checker.sharing().neighbours(k)) {
+        const int to = plan.group_of(n);
+        if (to == plan.group_of(k)) continue;
+        std::vector<KernelId> target(plan.group(to).begin(), plan.group(to).end());
+        target.push_back(k);
+        std::sort(target.begin(), target.end());
+        const bool ok = try_move(rig.checker, plan, k, to, out, group);
+        EXPECT_EQ(ok, rig.checker.group_is_legal(target)) << k << "->" << to;
+        EXPECT_EQ(group, target);
+        // Whatever the move broke is split-repaired: the result is legal.
+        if (ok) EXPECT_TRUE(rig.checker.plan_is_legal(out)) << out.to_string();
+        ok ? ++accepted : ++rejected;
+      }
+    }
+    EXPECT_TRUE(same_layout(plan, before)) << "try_move must not touch its input";
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ---------- HGGA ----------

@@ -186,6 +186,92 @@ TEST(PlanServer, CrossDeviceRequestPolishesTheStoredPlan) {
   EXPECT_EQ(server.stats().writebacks, 2);
 }
 
+TEST(PlanServer, StoredGroupOverTheDeviceSmemIsRepairedThenPolished) {
+  const std::string dir = fresh_dir("repair_smem");
+  PlanStore store(store_config(dir));
+  FakeTime time;
+  PlanServer server(store, server_config(time));
+  const Program program = scale_les_rk18();
+
+  const ServeResult k20x = server.serve(program, DeviceSpec::k20x());
+  ASSERT_EQ(k20x.rung, ServeRung::FullSearch);
+  // Shrink SMEM just below the stored plan's largest fused footprint: that
+  // group is illegal on the new device, so the plan cannot be served as is.
+  const Validator on_k20x(program, DeviceSpec::k20x());
+  long largest = 0;
+  for (int g = 0; g < k20x.plan.num_groups(); ++g) {
+    if (k20x.plan.group(g).size() < 2) continue;
+    largest = std::max(
+        largest, on_k20x.checker.builder().build(k20x.plan.group(g)).smem_per_block_bytes);
+  }
+  ASSERT_GT(largest, 0);
+  const DeviceSpec small = DeviceSpec::k20x().with_smem_capacity(largest - 1);
+  const Validator validator(program, small);
+  ASSERT_FALSE(validator.legal(k20x.plan));
+
+  const ServeResult r = server.serve(program, small);
+  EXPECT_EQ(r.rung, ServeRung::PolishedStored);
+  EXPECT_TRUE(validator.legal(r.plan));
+  EXPECT_LE(r.cost_s, r.baseline_cost_s);
+}
+
+/// k0 -> k3 and k1 -> k2 through written arrays, while k0/k2 and k1/k3 only
+/// read a common array: {k0,k2} and {k1,k3} are each legal groups, but a
+/// plan holding both orders them both ways — every group legal, yet
+/// unschedulable.
+Program crossed_pairs_program() {
+  Program p("crossed_pairs", GridDims{32, 16, 4});
+  const ArrayId x = p.add_array("x");
+  const ArrayId y = p.add_array("y");
+  const ArrayId a = p.add_array("a");
+  const ArrayId b = p.add_array("b");
+  const ArrayId c = p.add_array("c");
+  const ArrayId d = p.add_array("d");
+  const auto make = [&](const char* name, std::vector<ArrayId> ins, ArrayId out) {
+    KernelInfo k;
+    k.name = name;
+    Expr e = Expr::constant(0);
+    for (ArrayId in : ins) e = e + Expr::load(in, {0, 0, 0}) + Expr::load(in, {-1, 0, 0});
+    k.body.push_back({out, e});
+    k.derive_metadata_from_body();
+    p.add_kernel(std::move(k));
+  };
+  make("k0", {x}, a);
+  make("k1", {y}, b);
+  make("k2", {x, b}, c);
+  make("k3", {y, a}, d);
+  return p;
+}
+
+TEST(PlanServer, UnschedulableStoredPlanIsRepairedThenPolished) {
+  const std::string dir = fresh_dir("repair_cycle");
+  PlanStore store(store_config(dir));
+  FakeTime time;
+  PlanServerConfig cfg = server_config(time);
+  cfg.expand = false;  // keys computed on the raw program below must match
+  PlanServer server(store, cfg);
+  const Program program = crossed_pairs_program();
+  const FusionPlan crossed = FusionPlan::parse(4, "{0,2} {1,3}");
+  const Validator validator(program, DeviceSpec::k20x());
+  ASSERT_TRUE(validator.checker.group_is_legal(crossed.group(0)));
+  ASSERT_TRUE(validator.checker.group_is_legal(crossed.group(1)));
+  ASSERT_EQ(validator.checker.check_plan(crossed), LegalityVerdict::Unschedulable);
+
+  // Stored for another device, so the K20X request reaches the polish rung.
+  StoredPlan stored;
+  stored.key = {program_fingerprint(program), device_fingerprint(DeviceSpec::k40())};
+  stored.num_kernels = 4;
+  stored.plan_text = crossed.to_string();
+  stored.best_cost_s = 1e-3;
+  stored.baseline_cost_s = 2e-3;
+  store.put(stored);
+
+  const ServeResult r = server.serve(program, DeviceSpec::k20x());
+  EXPECT_EQ(r.rung, ServeRung::PolishedStored);
+  EXPECT_TRUE(validator.legal(r.plan)) << r.plan.to_string();
+  EXPECT_LE(r.cost_s, r.baseline_cost_s);
+}
+
 TEST(PlanServer, TinyDeadlineOnAnEmptyStoreFallsToTheFloor) {
   const std::string dir = fresh_dir("floor");
   PlanStore store(store_config(dir));
