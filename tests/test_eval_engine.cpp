@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -450,24 +452,33 @@ SearchResult run_method(Method method, EngineRig& rig) {
   std::abort();
 }
 
-// Golden pins: the best plan, generation count and fault count each search
-// method returned on the full-recost, per-plan-evaluation reference paths
-// these engines replaced (recorded before those paths were deleted). The
-// delta and batched paths must keep reproducing them at every thread count
-// with the cross-check armed; the cost pin is the reference's best cost.
+// Golden pins: the best plan, generation count, fault count, best cost and
+// (for HGGA) per-generation best-cost history each search method returned on
+// the full-recost, per-plan-evaluation reference paths these engines
+// replaced (recorded before those paths were deleted). The delta and batched
+// paths must keep reproducing them bit for bit at every thread count with
+// the cross-check armed. Costs are written with 17 significant digits, which
+// round-trip a double exactly; history entries are the raw double bits.
 struct GoldenPin {
   Method method;
   const char* plan;
   int generations;
   long faults;
   double cost_s;
+  std::span<const std::uint64_t> history = {};  // empty: history not pinned
+};
+
+constexpr std::uint64_t kHggaMethodHistory[] = {
+    0x3f4cf3e3221f1669, 0x3f4c7ef9cb57757d, 0x3f4c5134d1e9c0c6, 0x3f49ae4c7899aaab,
+    0x3f49ae4c7899aaab, 0x3f493db919d067d5, 0x3f493db919d067d5, 0x3f493db919d067d5,
+    0x3f493db919d067d5, 0x3f493db919d067d5, 0x3f48d523b2194dc7, 0x3f48d523b2194dc7,
 };
 
 constexpr GoldenPin kMethodPins[] = {
     {Method::Greedy, "{0,1,2,3,4} {5,6,7,8,9,10,11} {12,13,14,15}", 0, 0,
      0.00079098296337174693},
     {Method::Hgga, "{0,1,2,3,6,7,12} {4,5} {8,9,10,11,13,14,15}", 12, 0,
-     0.00074634811553473844},
+     0.00074634811553473844, kHggaMethodHistory},
     {Method::Annealing, "{0,1,2,3,4,5,6,8,9,14} {7,10,11,12,13,15}", 0, 0,
      0.00085195918298934796},
     {Method::Exhaustive, "{0,1,2,3,4,5,6,7}", 0, 0, 0.00025727174766119717},
@@ -486,8 +497,19 @@ constexpr GoldenPin kFaultPins[] = {
 
 // small_hgga() on suite_rig(16, 5), the configuration the batched/per-plan
 // equivalence test ran.
+constexpr std::uint64_t kHggaHistory[] = {
+    0x3f4d160e3dcb8440, 0x3f4b0de0a6d6c1bd, 0x3f4b0de0a6d6c1bd, 0x3f48e06237957cf4,
+    0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4,
+    0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4,
+    0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4,
+    0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4,
+    0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4,
+    0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4, 0x3f48e06237957cf4,
+    0x3f48e06237957cf4, 0x3f48e06237957cf4,
+};
+
 constexpr GoldenPin kHggaPin = {Method::Hgga, "{0,1,2,3,4,5,6,7,12} {8} {9,10,11,13,14,15}",
-                                30, 0, 0.00075917049177212518};
+                                30, 0, 0.00075917049177212518, kHggaHistory};
 
 #ifdef _OPENMP
 constexpr int kPinThreadCounts[] = {1, 4, 8};
@@ -496,8 +518,9 @@ constexpr int kPinThreadCounts[] = {1};
 #endif
 
 /// Runs `run` once per pinned thread count and checks each result against
-/// `pin`; later runs must also match the first bit for bit (cost and
-/// per-generation history). `run` returns the result and its rig's stats.
+/// `pin` bit for bit; later runs must also match the first run's
+/// per-generation history bit for bit. `run` returns the result and its
+/// rig's stats, and checks the best cost against its rig's full recost.
 template <typename Run>
 void expect_pinned(const GoldenPin& pin, Run run) {
 #ifdef _OPENMP
@@ -514,12 +537,17 @@ void expect_pinned(const GoldenPin& pin, Run run) {
     EXPECT_EQ(got.best.to_string(), pin.plan) << label;
     EXPECT_EQ(got.generations, pin.generations) << label;
     EXPECT_EQ(got.fault_report.faults, pin.faults) << label;
-    EXPECT_NEAR(got.best_cost_s, pin.cost_s, 1e-12 * pin.cost_s) << label;
+    EXPECT_EQ(bits(got.best_cost_s), bits(pin.cost_s)) << label;
     EXPECT_EQ(stats.delta_mismatches, 0) << label;
+    if (!pin.history.empty()) {
+      ASSERT_EQ(got.history.size(), pin.history.size()) << label;
+      for (std::size_t i = 0; i < got.history.size(); ++i) {
+        EXPECT_EQ(bits(got.history[i]), pin.history[i]) << label << " gen " << i;
+      }
+    }
     if (threads == kPinThreadCounts[0]) {
       first = got;
     } else {
-      EXPECT_EQ(bits(got.best_cost_s), bits(first.best_cost_s)) << label;
       ASSERT_EQ(got.history.size(), first.history.size()) << label;
       for (std::size_t i = 0; i < got.history.size(); ++i) {
         EXPECT_EQ(bits(got.history[i]), bits(first.history[i])) << label << " gen " << i;
@@ -540,8 +568,7 @@ TEST(DeltaCosting, AllMethodsMatchGoldenPinsAcrossThreadCounts) {
       const int kernels = pin.method == Method::Exhaustive ? 8 : 16;
       EngineRig rig = suite_rig_with(kernels, 7, cross_checked_options());
       SearchResult got = run_method(pin.method, rig);
-      EXPECT_NEAR(rig.objective.plan_cost(got.best), got.best_cost_s,
-                  1e-12 * got.best_cost_s);
+      EXPECT_EQ(bits(rig.objective.plan_cost(got.best)), bits(got.best_cost_s));
       *stats = rig.objective.cache_stats();
       if (pin.method == Method::Greedy || pin.method == Method::Hgga ||
           pin.method == Method::Annealing) {
@@ -564,6 +591,7 @@ TEST(DeltaCosting, BitIdenticalUnderFaultQuarantine) {
       EngineRig rig = suite_rig_with(16, 7, cross_checked_options());
       SearchResult got = run_method(pin.method, rig);
       EXPECT_EQ(rig.objective.faults(), pin.faults);
+      EXPECT_EQ(bits(rig.objective.plan_cost(got.best)), bits(got.best_cost_s));
       *stats = rig.objective.cache_stats();
       return got;
     });
@@ -576,6 +604,7 @@ TEST(EvalEngine, HggaMatchesGoldenPinAcrossThreadCounts) {
   expect_pinned(kHggaPin, [](Objective::CacheStats* stats) {
     EngineRig rig = suite_rig_with(16, 5, cross_checked_options());
     SearchResult got = Hgga(rig.objective, small_hgga()).run();
+    EXPECT_EQ(bits(rig.objective.plan_cost(got.best)), bits(got.best_cost_s));
     *stats = rig.objective.cache_stats();
     return got;
   });
